@@ -9,6 +9,15 @@ properties relevant to the reproduction hold functionally: ciphertext
 reveals nothing without the key, and any bit flip in IV, ciphertext or
 associated data fails authentication.
 
+The construction is fixed; only its host cost is tuned.  HMAC-SHA256
+with a 32-byte key is ``SHA256((K ^ opad) || SHA256((K ^ ipad) || m))``
+over the key zero-extended to the 64-byte block, so :class:`Aead` hashes
+the two pad blocks of the encryption subkey once per key and, per
+keystream block, resumes copies of those states instead of re-keying a
+fresh ``hmac.new``.  The output is byte-identical to
+``hmac.new(enc_key, iv || counter, sha256).digest()``; the tests keep
+that per-block loop as the reference implementation.
+
 This module is pure computation; the *time* cost of sealing/opening is
 charged by callers through :meth:`repro.config.CostModel.aead_cost`.
 """
@@ -27,11 +36,21 @@ MAC_BYTES = 16  # §VII-A: 16 B MAC
 KEY_BYTES = 32
 
 _BLOCK = 32  # keystream block = one SHA-256 digest
+_HMAC_BLOCK = 64  # SHA-256 input block: HMAC pads the key to this size
 
 
 def xor_bytes(data: bytes, keystream: bytes) -> bytes:
-    """XOR ``data`` with a keystream of at least the same length."""
+    """XOR ``data`` with a keystream of at least the same length.
+
+    Raises :class:`ValueError` when the keystream is shorter, rather
+    than returning the uncovered tail of ``data`` in the clear.
+    """
     length = len(data)
+    if len(keystream) < length:
+        raise ValueError(
+            "keystream of %d bytes cannot cover %d bytes of data"
+            % (len(keystream), length)
+        )
     if length == 0:
         return b""
     left = int.from_bytes(data, "little")
@@ -51,22 +70,32 @@ class Aead:
             raise ValueError("AEAD key must be %d bytes" % KEY_BYTES)
         # Independent subkeys for the keystream and the MAC, derived the
         # usual KDF way so a single 32-byte master key is enough.
-        self._enc_key = hmac.new(key, b"treaty-enc", sha256).digest()
-        self._mac_key = hmac.new(key, b"treaty-mac", sha256).digest()
+        enc_key = hmac.new(key, b"treaty-enc", sha256).digest()
+        mac_key = hmac.new(key, b"treaty-mac", sha256).digest()
+        # HMAC(enc_key, m) = H(opad_key || H(ipad_key || m)): hash each
+        # pad block once here and resume copies of the states per block.
+        padded = enc_key.ljust(_HMAC_BLOCK, b"\x00")
+        self._enc_inner = sha256(bytes(b ^ 0x36 for b in padded))
+        self._enc_outer = sha256(bytes(b ^ 0x5C for b in padded))
+        self._mac = hmac.new(mac_key, digestmod=sha256)
 
     # -- internals -----------------------------------------------------------
     def _keystream(self, iv: bytes, length: int) -> bytes:
+        nblocks = (length + _BLOCK - 1) // _BLOCK
+        inner_iv = self._enc_inner.copy()
+        inner_iv.update(iv)
+        outer = self._enc_outer
         blocks = []
-        for counter in range((length + _BLOCK - 1) // _BLOCK):
-            blocks.append(
-                hmac.new(
-                    self._enc_key, iv + struct.pack("<I", counter), sha256
-                ).digest()
-            )
+        for counter in range(nblocks):
+            inner = inner_iv.copy()
+            inner.update(struct.pack("<I", counter))
+            block = outer.copy()
+            block.update(inner.digest())
+            blocks.append(block.digest())
         return b"".join(blocks)[:length]
 
     def _tag(self, iv: bytes, aad: bytes, ciphertext: bytes) -> bytes:
-        mac = hmac.new(self._mac_key, digestmod=sha256)
+        mac = self._mac.copy()
         mac.update(struct.pack("<II", len(aad), len(ciphertext)))
         mac.update(iv)
         mac.update(aad)

@@ -45,11 +45,12 @@ class LogChain:
     """
 
     def __init__(self, key: bytes, state: Optional[ChainState] = None):
-        self._key = key
+        # Keyed once; each tag resumes a copy instead of re-keying.
+        self._mac = hmac.new(key, digestmod=sha256)
         self.state = state or ChainState()
 
     def _tag(self, previous: bytes, counter: int, body: bytes) -> bytes:
-        mac = hmac.new(self._key, digestmod=sha256)
+        mac = self._mac.copy()
         mac.update(previous)
         mac.update(counter.to_bytes(8, "little"))
         mac.update(body)

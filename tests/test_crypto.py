@@ -1,5 +1,9 @@
 """Tests for the crypto layer: AEAD, log chains, key ring, signatures."""
 
+import hmac
+import struct
+from hashlib import sha256
+
 import pytest
 
 from repro.crypto import (
@@ -10,12 +14,35 @@ from repro.crypto import (
     derive_key,
     digest,
     generate_keypair,
+    xor_bytes,
 )
 from repro.crypto.aead import IV_BYTES, KEY_BYTES, MAC_BYTES
 from repro.errors import AuthenticationError, IntegrityError
 
 KEY = bytes(range(32))
 IV = b"\x01" * IV_BYTES
+
+
+def reference_seal(key: bytes, iv: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
+    """The AEAD construction spelled out with one ``hmac.new`` per block.
+
+    Known-answer reference for :meth:`Aead.seal`: a fresh HMAC-SHA256
+    per 32-byte keystream block over ``iv || counter`` and a fresh
+    encrypt-then-MAC tag, exactly as the construction is specified.
+    """
+    enc_key = hmac.new(key, b"treaty-enc", sha256).digest()
+    mac_key = hmac.new(key, b"treaty-mac", sha256).digest()
+    keystream = b"".join(
+        hmac.new(enc_key, iv + struct.pack("<I", counter), sha256).digest()
+        for counter in range((len(plaintext) + 31) // 32)
+    )
+    ciphertext = bytes(p ^ k for p, k in zip(plaintext, keystream))
+    mac = hmac.new(mac_key, digestmod=sha256)
+    mac.update(struct.pack("<II", len(aad), len(ciphertext)))
+    mac.update(iv)
+    mac.update(aad)
+    mac.update(ciphertext)
+    return iv + ciphertext + mac.digest()[:MAC_BYTES]
 
 
 class TestAead:
@@ -76,8 +103,52 @@ class TestAead:
         with pytest.raises(ValueError):
             Aead(KEY).seal(b"shortiv", b"data")
 
+    @pytest.mark.parametrize("length", [0, 1, 31, 32, 33, 1000, 4096])
+    @pytest.mark.parametrize("aad", [b"", b"txn=42|hdr"])
+    def test_seal_matches_reference_construction(self, length, aad):
+        plaintext = bytes((7 * i + 3) % 256 for i in range(length))
+        aead = Aead(KEY)
+        sealed = aead.seal(IV, plaintext, aad=aad)
+        assert sealed == reference_seal(KEY, IV, plaintext, aad)
+        assert aead.open(sealed, aad=aad) == plaintext
+        # The cached HMAC states are copied per call, never advanced.
+        assert aead.seal(IV, plaintext, aad=aad) == sealed
+
+    def test_pinned_ciphertexts(self):
+        # Stored and wire bytes must never change for the same key and IV.
+        aead = Aead(KEY)
+        assert aead.seal(IV, b"treaty").hex() == (
+            "010101010101010101010101e5571a8a3475b114b3bd90c3c073a84177a3169651a1"
+        )
+        assert digest(aead.seal(IV, bytes(range(256)) * 4, aad=b"aad")).hex() == (
+            "997b078ff11da4e1779742cf3d1595b3a1da41a9ef60ef3822f490fb53220b8e"
+        )
+
+
+class TestXorBytes:
+    def test_xor_with_exact_and_longer_keystream(self):
+        assert xor_bytes(b"\x0f\xf0", b"\xff\xff") == b"\xf0\x0f"
+        assert xor_bytes(b"\x0f", b"\xff\x00\x00") == b"\xf0"
+        assert xor_bytes(b"", b"") == b""
+
+    @pytest.mark.parametrize("keystream", [b"", b"k", b"12345"])
+    def test_short_keystream_rejected(self, keystream):
+        # A short keystream must not leak the uncovered tail in the clear.
+        with pytest.raises(ValueError):
+            xor_bytes(b"secret", keystream)
+
 
 class TestLogChain:
+    def test_tags_match_reference_hmac(self):
+        chain = LogChain(KEY)
+        previous = b"\x00" * 32
+        for counter, body in [(1, b""), (2, b"entry"), (2**40, b"z" * 5000)]:
+            expected = hmac.new(
+                KEY, previous + counter.to_bytes(8, "little") + body, sha256
+            ).digest()
+            assert chain.append(counter, body) == expected
+            previous = expected
+
     def test_append_then_verify_replay(self):
         writer = LogChain(KEY)
         entries = [(i, b"entry-%d" % i) for i in range(10)]

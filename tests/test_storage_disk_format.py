@@ -22,6 +22,27 @@ class TestDisk:
         with pytest.raises(StorageError):
             disk.read_range("f", 8, 5)
 
+    def test_read_range_returns_an_immutable_copy(self):
+        disk = Disk()
+        disk.write("f", b"0123456789")
+        block = disk.read_range("f", 2, 4)
+        assert type(block) is bytes
+        assert block == disk.read("f")[2:6]
+        disk.tamper("f", 3, 0xFF)
+        disk.append("f", b"abc")
+        assert block == b"2345"
+        assert disk.read_range("f", 3, 1) == bytes([ord("3") ^ 0xFF])
+        assert disk.read_range("f", 10, 3) == b"abc"
+
+    def test_read_range_errors(self):
+        disk = Disk()
+        disk.write("f", b"0123")
+        assert disk.read_range("f", 0, 4) == b"0123"
+        with pytest.raises(StorageError):
+            disk.read_range("f", 1, 4)
+        with pytest.raises(StorageError):
+            disk.read_range("nope", 0, 1)
+
     def test_missing_file_raises(self):
         with pytest.raises(StorageError):
             Disk().read("nope")
