@@ -424,7 +424,6 @@ def bulk_load_null(cluster: TreatyCluster, config: YcsbConfig):
 def durability_smoke(
     num_clients: int = 24,
     duration: float = 0.2,
-    vectoring: bool = True,
     flight_recorder: bool = False,
 ) -> MetricsCollector:
     """Short deterministic YCSB run on TREATY_FULL under the monitor.
@@ -446,7 +445,6 @@ def durability_smoke(
 
     config = ClusterConfig(
         monitor=True,
-        counter_vectoring=vectoring,
         monitor_liveness_timeout_s=duration,
         flight_recorder=flight_recorder,
         timeseries=flight_recorder,

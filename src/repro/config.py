@@ -262,11 +262,6 @@ class ClusterConfig:
     counter_retry_backoff: float = 0.1
     #: retries before a stabilization request gives up (FreshnessError).
     counter_max_retries: int = 100
-    #: batch stabilization targets for *different* logs (WAL + Clog) into
-    #: one vectored echo-broadcast round (the durability pipeline's
-    #: amortization).  False falls back to one round driver per log —
-    #: the pre-pipeline baseline, kept for comparison benchmarks.
-    counter_vectoring: bool = True
     #: rollback-protection backend (repro.core.rollback):
     #: ``"counter-sync"``  — every stabilization request drives (or joins)
     #: a synchronous two-round echo-broadcast and waits for the quorum
@@ -290,9 +285,6 @@ class ClusterConfig:
     #: echo quorum renews the shard's lease; a waiter whose promise
     #: outlives the lease runs one synchronous round itself.
     counter_lease_s: float = 0.02
-    #: concurrent echo rounds in flight per shard (counter-async/lcm
-    #: driver pipelining); 1 serializes rounds like the sync driver.
-    counter_max_inflight: int = 4
     #: piggyback trusted-counter targets on 2PC messages: participants
     #: return their prepare-record target in the PREPARE-ACK instead of
     #: stabilizing it locally, and the coordinator folds every prepare

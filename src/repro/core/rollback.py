@@ -6,11 +6,11 @@ value before the client is acknowledged (acked ⇒ covered ⇒ stable before
 externalized).  How coverage is established is a backend decision, and
 Brandenburger et al.'s Lightweight Collective Memory (PAPERS.md) shows
 the same rollback/forking guarantee is reachable with a much cheaper
-echo-only scheme.  This module extracts that decision out of
-:class:`~repro.core.stabilization.Stabilizer` /
-:class:`~repro.core.trusted_counter.CounterClient` into a
-:class:`RollbackProtection` interface with three implementations,
-selected by ``ClusterConfig.rollback_backend``:
+echo-only scheme.  This module makes that decision the one variation
+point of the :class:`~repro.core.pipeline.DurabilityPipeline`: a
+:class:`RollbackProtection` interface over the
+:class:`~repro.core.trusted_counter.CounterClient` with three
+implementations, selected by ``ClusterConfig.rollback_backend``:
 
 ``counter-sync``
     The original behavior: the caller's fiber (or a driver it spawns)
@@ -53,7 +53,7 @@ acks without coverage.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Generator, List, Optional, Sequence
 
 from ..config import ClusterConfig
 from ..errors import FreshnessError, NetworkError
@@ -76,6 +76,10 @@ Gen = Generator[Event, Any, Any]
 
 #: selectable values of ``ClusterConfig.rollback_backend``.
 BACKENDS = ("counter-sync", "counter-async", "lcm")
+
+#: concurrent echo rounds in flight per shard (counter-async/lcm driver
+#: pipelining).
+MAX_INFLIGHT_ROUNDS = 4
 
 
 class RollbackProtection:
@@ -123,7 +127,7 @@ class CounterAsyncBackend(RollbackProtection):
     Per shard, the backend keeps a persistent driver fiber woken by a
     :class:`Semaphore` (no polling — the sim stays quiescent when idle).
     The driver snapshots unclaimed pending targets, claims them, and
-    spawns up to ``counter_max_inflight`` concurrent protocol rounds —
+    spawns up to :data:`MAX_INFLIGHT_ROUNDS` concurrent protocol rounds —
     pipelining removes the "wait for the previous round to finish"
     pickup latency that serializes the sync driver.  Rounds release
     waiters at echo quorum and renew the shard lease on success.
@@ -147,7 +151,6 @@ class CounterAsyncBackend(RollbackProtection):
     ):
         super().__init__(runtime, client)
         self.lease_s = config.counter_lease_s
-        self.max_inflight = max(1, config.counter_max_inflight)
         shards = client.num_shards
         #: test hook: park the drivers to force the lease-expiry path.
         self.drivers_enabled = True
@@ -261,7 +264,7 @@ class CounterAsyncBackend(RollbackProtection):
             if not fresh:
                 yield self._wake[shard].acquire()
                 continue
-            if self._inflight[shard] >= self.max_inflight:
+            if self._inflight[shard] >= MAX_INFLIGHT_ROUNDS:
                 yield self._round_done[shard].acquire()
                 continue
             claimed = self._claimed[shard]

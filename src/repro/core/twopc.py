@@ -40,6 +40,7 @@ from ..txn.manager import TransactionManager
 from ..txn.pessimistic import PessimisticTxn
 from ..txn.types import TxnStatus
 from .ids import EPOCH_SHIFT, GlobalTxnId, TxnIdAllocator
+from .pipeline import DurabilityPipeline
 from .rollback import DecisionLedger
 from .trusted_counter import decode_counter_vector, encode_counter_vector
 
@@ -61,8 +62,6 @@ RESOLUTION_RETRY_INTERVAL = 0.5
 
 # key -> numeric node id owning its shard
 Partitioner = Callable[[bytes], int]
-# (log_name, counter) -> generator that waits for stabilization
-Stabilize = Callable[[str, int], Generator[Event, Any, None]]
 
 
 def _encode_read(key: bytes) -> bytes:
@@ -306,24 +305,23 @@ class Participant:
         runtime: NodeRuntime,
         manager: TransactionManager,
         rpc: SecureRpc,
-        stabilize: Stabilize,
+        pipeline: DurabilityPipeline,
         numeric_id: int = 0,
         addresses: Optional[Dict[int, str]] = None,
-        pipeline=None,
         ledger: Optional[DecisionLedger] = None,
         op_ids: Optional[Callable[[], int]] = None,
     ):
         self.runtime = runtime
         self.manager = manager
         self.rpc = rpc
-        self.stabilize = stabilize
+        #: the node's DurabilityPipeline: prepares stabilize through it,
+        #: and completers use it to rollback-protect a replicated
+        #: decision's targets pre-apply.
+        self.pipeline = pipeline
         self.tracer = runtime.tracer
         self.node = runtime.name or None
         self.numeric_id = numeric_id
         self.addresses = addresses
-        #: the node's DurabilityPipeline; completers use it to
-        #: rollback-protect a replicated decision's targets pre-apply.
-        self.pipeline = pipeline
         #: write-once decision slots (non-blocking commit).
         self.ledger = ledger or DecisionLedger(runtime.config.num_nodes)
         #: mint cluster-unique operation ids for completer-driven
@@ -525,7 +523,7 @@ class Participant:
         if self.runtime.profile.stabilization:
             # "Participants delay replying back to the coordinator until
             # the prepare entry in the log is stabilized."
-            yield from self.stabilize(log_name, counter)
+            yield from self.pipeline.stabilize(log_name, counter)
         self.tracer.event(
             "twopc", "prepare_ack", node=self.node,
             txn=gid.encode().hex(), log=log_name, counter=counter,
@@ -914,11 +912,7 @@ class Participant:
         self, gid_bytes: bytes, record: Optional["DecisionRecord"]
     ) -> Gen:
         """Apply a quorum-final COMMIT and drive the rest of the group."""
-        if (
-            record is not None
-            and self.pipeline is not None
-            and self.runtime.profile.stabilization
-        ):
+        if record is not None and self.runtime.profile.stabilization:
             # I1: the group's prepare records and the decision entry must
             # be rollback-protected before anyone applies the commit —
             # the same group round the coordinator would have run.
@@ -950,11 +944,7 @@ class Participant:
                 MsgType.TXN_COMMIT, gid_bytes, record
             )
             apply_targets.extend(collected)
-        if (
-            apply_targets
-            and self.pipeline is not None
-            and self.runtime.profile.stabilization
-        ):
+        if apply_targets and self.runtime.profile.stabilization:
             yield from self.pipeline.stabilize_group(
                 apply_targets, txn=gid_bytes.hex(), phase="complete",
             )
@@ -1028,9 +1018,8 @@ class Coordinator:
         node_numeric_id: int,
         addresses: Dict[int, str],
         partitioner: Partitioner,
-        stabilize: Stabilize,
+        pipeline: DurabilityPipeline,
         epoch: int = 0,
-        pipeline=None,
         ledger: Optional[DecisionLedger] = None,
     ):
         self.runtime = runtime
@@ -1040,8 +1029,7 @@ class Coordinator:
         self.node_numeric_id = node_numeric_id
         self.addresses = addresses  # numeric node id -> cluster address
         self.partitioner = partitioner
-        self.stabilize = stabilize
-        #: the node's DurabilityPipeline (group-wide stabilization rounds).
+        #: the node's DurabilityPipeline (all stabilization requests).
         self.pipeline = pipeline
         #: this node's write-once decision slots (shared with its
         #: Participant role under ``commit_replication``).
@@ -1079,7 +1067,6 @@ class Coordinator:
         return (
             self.runtime.profile.stabilization
             and self.runtime.config.twopc_piggyback
-            and self.pipeline is not None
         )
 
     @property
@@ -1156,16 +1143,20 @@ class Coordinator:
                 event.defuse()
             return dict(zip(nodes, sends))
 
+        # Enqueued before the counter round's first frames, so the
+        # doorbell window coalesces the DECISION_RECORD broadcast and the
+        # round's COUNTER frames to each peer into the same sealed frames.
+        events = send(peers)
         if self.piggyback:
-            events = yield from self.pipeline.decision_round(
+            yield from self.pipeline.stabilize_group(
                 list(record.targets)
                 + [(self.clog.log_name, record.counter)],
-                txn=txn_hex, phase=phase, enqueue=lambda: send(peers),
+                txn=txn_hex, phase=phase,
             )
-        else:
-            events = send(peers)
-            if self.runtime.profile.stabilization:
-                yield from self.stabilize(self.clog.log_name, record.counter)
+        elif self.runtime.profile.stabilization:
+            yield from self.pipeline.stabilize(
+                self.clog.log_name, record.counter
+            )
         if record.kind != ClogRecord.COMMIT:
             # Presumed abort: no quorum needed before answering the
             # client — a peer that misses the record learns the abort
@@ -1275,13 +1266,13 @@ class Coordinator:
             # never have stabilized ride the same round: the asking
             # participant's recovered prepare record must be
             # rollback-protected before it commits on this answer.
-            if self.pipeline is not None and targets:
+            if targets:
                 yield from self.pipeline.stabilize_group(
                     list(targets) + [(self.clog.log_name, decision_counter)],
                     txn=gid_bytes.hex(), phase="resolve",
                 )
             else:
-                yield from self.stabilize(
+                yield from self.pipeline.stabilize(
                     self.clog.log_name, decision_counter
                 )
         verdict = b"commit" if decision == ClogRecord.COMMIT else b"abort"
@@ -1803,10 +1794,9 @@ class GlobalTxn:
                         ClogRecord.ABORT, self.gid, record_participants
                     )
                 )
-                if coordinator.pipeline is not None:
-                    coordinator.pipeline.background(
-                        coordinator.clog.log_name, superseded
-                    )
+                coordinator.pipeline.background(
+                    coordinator.clog.log_name, superseded
+                )
         elif self.runtime.profile.stabilization:
             if coordinator.piggyback:
                 # Aborted prepares need no rollback protection (presumed
@@ -1817,7 +1807,7 @@ class GlobalTxn:
                     txn=txn_hex, phase="decision",
                 )
             else:
-                yield from coordinator.stabilize(
+                yield from coordinator.pipeline.stabilize(
                     coordinator.clog.log_name, decision_counter
                 )
         span.close()
@@ -1894,7 +1884,7 @@ class GlobalTxn:
                         txn=txn_hex, phase="complete",
                     )
                 else:
-                    yield from coordinator.stabilize(
+                    yield from coordinator.pipeline.stabilize(
                         coordinator.clog.log_name, counter
                     )
 
@@ -1921,7 +1911,7 @@ class GlobalTxn:
             )
             return (log_name, counter)
         if self.runtime.profile.stabilization:
-            yield from self.coordinator.stabilize(log_name, counter)
+            yield from self.coordinator.pipeline.stabilize(log_name, counter)
         self.coordinator.tracer.event(
             "twopc", "prepare_ack", node=self.coordinator.node,
             txn=self.gid.encode().hex(), log=log_name, counter=counter,

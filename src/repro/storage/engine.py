@@ -49,9 +49,9 @@ _MAX_LEVEL = 6
 #: readers (cooperative fibers) drain first.
 _DELETE_GRACE = 0.05
 
-# A stabilizer makes one log entry rollback-protected; injected by the
-# stabilization protocol (repro.core.stabilization).  ``None`` means the
-# profile runs without stabilization.
+# A stabilizer makes one log entry rollback-protected; the node injects
+# its durability pipeline's ``stabilize`` (repro.core.pipeline).  ``None``
+# means the profile runs without stabilization.
 Stabilizer = Callable[[str, int], Generator[Event, Any, None]]
 
 

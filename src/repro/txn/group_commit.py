@@ -16,8 +16,9 @@ outcome.  Validation + sequence assignment + MemTable application happen
 inside the leader's critical section, which is what makes OCC validation
 atomic.
 
-When a :class:`~repro.core.pipeline.DurabilityPipeline` is attached, the
-leader also submits the batch's stabilization as *one* request — every
+The committer belongs to the node's
+:class:`~repro.core.pipeline.DurabilityPipeline`: the leader submits the
+batch's stabilization as *one* request — every
 member that asked to wait for rollback protection shares a single event
 driven by one counter wait on the batch's highest WAL counter, instead
 of N per-transaction gate waits racing the round driver.  The shared
@@ -87,10 +88,10 @@ class GroupCommitter:
         self,
         runtime: NodeRuntime,
         engine: LSMEngine,
+        pipeline,
         max_group: int = 16,
         window: Optional[float] = 0.0,
         window_cap: float = 4.0e-4,
-        pipeline=None,
     ):
         self.runtime = runtime
         self.engine = engine
@@ -98,7 +99,7 @@ class GroupCommitter:
         #: ``None`` = adaptive; ``0.0`` = immediate drain; >0 fixed wait.
         self.window = window
         self.window_cap = window_cap
-        #: the owning DurabilityPipeline, if the node runs one.
+        #: the owning DurabilityPipeline.
         self.pipeline = pipeline
         self._queue: List[CommitRequest] = []
         self._leader_active = False
@@ -157,11 +158,11 @@ class GroupCommitter:
 
         Returns ``(counter, log_name, stable_event)``: the WAL counter
         value, the WAL's log name, and — iff ``wait_stable`` was set and
-        a durability pipeline is attached — the batch's shared
-        stabilization event (``None`` otherwise; the caller falls back
-        to its own per-transaction stabilization).  The outcome fires as
-        soon as the batch's WAL write is durable, so callers can release
-        locks *before* waiting out rollback protection (§VIII-C).
+        the pipeline stabilizes — the batch's shared stabilization event
+        (``None`` otherwise: there is nothing to wait for).  The outcome
+        fires as soon as the batch's WAL write is durable, so callers
+        can release locks *before* waiting out rollback protection
+        (§VIII-C).
 
         Raises :class:`ConflictError` if the validator vetoes.
         """
@@ -233,18 +234,15 @@ class GroupCommitter:
         log_name = self.engine.wal_log_name
         self._batch_hist.observe(len(admitted))
         self._occupancy_hist.observe(len(admitted) / self.max_group)
-        if self.pipeline is not None:
-            # Seqs were assigned in batch order before the WAL counters,
-            # and batches are serialized by the leader critical section,
-            # so this watermark is monotone in both coordinates — the
-            # freshness witness for coordinator-free snapshot reads.
-            seqs = [seq for _, writes in records for _, _, seq in writes]
-            if seqs:
-                self.pipeline.witness.record(
-                    log_name, max(counters), max(seqs)
-                )
+        # Seqs were assigned in batch order before the WAL counters, and
+        # batches are serialized by the leader critical section, so this
+        # watermark is monotone in both coordinates — the freshness
+        # witness for coordinator-free snapshot reads.
+        seqs = [seq for _, writes in records for _, _, seq in writes]
+        if seqs:
+            self.pipeline.witness.record(log_name, max(counters), max(seqs))
         stable_event = None
-        if self.pipeline is not None and self.pipeline.enabled:
+        if self.pipeline.enabled:
             top = max(
                 (counter for request, counter in zip(admitted, counters)
                  if request.wait_stable),

@@ -14,7 +14,7 @@ read-set.  Certification is local:
    through its own ``t_n ≥ t*``), so the transaction serializes at
    ``t*`` with no cross-node coordination.
 2. *Freshness* — the observed seqs must sit under the stabilized counter
-   frontier (:class:`~repro.core.stabilization.FreshnessWitness`), or
+   frontier (:class:`~repro.core.pipeline.FreshnessWitness`), or
    the node could be certifying state a rollback attack later denies.  A
    fresh snapshot commits with **zero** 2PC/coordinator rounds
    (``txn.readonly.local``); a stale one joins the covering
@@ -63,12 +63,8 @@ class ReadOnlySnapshotTxn(LocalTransaction):
                 raise ConflictError(key)
             max_seq = max(max_seq, observed_seq)
         self._finalize(TxnStatus.COMMITTED)
-        witness = (
-            self.manager.pipeline.witness
-            if self.manager.pipeline is not None
-            else None
-        )
-        if witness is None or witness.covers(max_seq):
+        witness = self.manager.pipeline.witness
+        if witness.covers(max_seq):
             metrics.counter("txn.readonly.local").inc()
             return 0
         # Stale snapshot: wait out the covering stabilization round (it

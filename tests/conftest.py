@@ -71,10 +71,14 @@ class TxnHarness(StorageHarness):
 
     def __init__(self, profile=TREATY_ENC, config=None, name="node0", disk=None):
         super().__init__(profile=profile, config=config, name=name, disk=disk)
+        from repro.core.pipeline import DurabilityPipeline
         from repro.txn import TransactionManager
 
+        # No counter client: the pipeline is disabled and every
+        # stabilization request is a no-op.
+        pipeline = DurabilityPipeline(self.runtime, None, self.config)
         self.manager = TransactionManager(
-            self.runtime, self.engine, self.config, name=name
+            self.runtime, self.engine, self.config, pipeline, name=name
         )
 
     def txn_put(self, pairs, optimistic=False):

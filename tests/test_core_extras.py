@@ -1,45 +1,52 @@
-"""Extra coverage: Stabilizer, Clog records, batched writes, client scans."""
+"""Extra coverage: pipeline stabilization, Clog records, batched writes,
+client scans."""
 
 import pytest
 
 from repro.config import ClusterConfig, DS_ROCKSDB, TREATY_ENC, TREATY_FULL
 from repro.core import ClogRecord, GlobalTxnId, TreatyCluster
-from repro.core.stabilization import Stabilizer
+from repro.core.pipeline import DurabilityPipeline
 from repro.sim import Simulator
 from repro.tee import NodeRuntime
 
 
 class TestStabilizer:
+    """The stabilization surface of :class:`DurabilityPipeline`."""
+
     def test_disabled_without_stabilization_profile(self):
         sim = Simulator()
-        runtime = NodeRuntime(sim, TREATY_ENC, ClusterConfig())
-        stabilizer = Stabilizer(runtime, counter_client=None)
-        assert not stabilizer.enabled
-        sim.run_process(stabilizer("log", 5))  # no-op, returns instantly
+        config = ClusterConfig()
+        runtime = NodeRuntime(sim, TREATY_ENC, config)
+        pipeline = DurabilityPipeline(runtime, None, config)
+        assert not pipeline.enabled
+        assert pipeline.rollback is None
+        # no-op, returns instantly
+        sim.run_process(pipeline.stabilize("log", 5))
+        sim.run_process(pipeline.stabilize_many([("log", 5)]))
         assert sim.now == 0.0
-        assert stabilizer.waits == 0
+        assert pipeline.waits == 0
 
     def test_enabled_waits_and_records(self):
         cluster = TreatyCluster(profile=TREATY_FULL).start()
         node = cluster.nodes[0]
         start = cluster.sim.now
-        cluster.run(node.stabilizer("extras-log", 1))
-        assert node.stabilizer.waits == 1
-        assert node.stabilizer.mean_wait() > 0
+        cluster.run(node.pipeline.stabilize("extras-log", 1))
+        assert node.pipeline.waits == 1
+        assert node.pipeline.mean_wait() > 0
         assert cluster.sim.now > start
 
     def test_zero_counter_is_noop(self):
         cluster = TreatyCluster(profile=TREATY_FULL).start()
         node = cluster.nodes[0]
         start = cluster.sim.now
-        cluster.run(node.stabilizer("extras-log2", 0))
+        cluster.run(node.pipeline.stabilize("extras-log2", 0))
         assert cluster.sim.now == start
 
     def test_background_does_not_block(self):
         cluster = TreatyCluster(profile=TREATY_FULL).start()
         node = cluster.nodes[0]
         start = cluster.sim.now
-        node.stabilizer.background("extras-bg", 3)
+        node.pipeline.background("extras-bg", 3)
         assert cluster.sim.now == start  # returned immediately
         cluster.sim.run(until=cluster.sim.now + 0.05)
         assert node.counter_client.stable_value("extras-bg") >= 3

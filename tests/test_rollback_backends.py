@@ -87,9 +87,8 @@ class TestBackendSelection:
         for name, cls in expected.items():
             cluster = make_cluster(rollback_backend=name)
             node = cluster.nodes[0]
-            assert type(node.rollback) is cls
-            assert node.rollback.name == name
-            assert node.pipeline.rollback is node.rollback
+            assert type(node.pipeline.rollback) is cls
+            assert node.pipeline.rollback.name == name
 
     def test_unknown_backend_rejected(self):
         cluster = make_cluster()
@@ -113,7 +112,7 @@ class TestPerShardFrontiers:
             rollback_backend="counter-async", counter_shards=4
         )
         node = cluster.nodes[0]
-        backend = node.rollback
+        backend = node.pipeline.rollback
         client = node.counter_client
         # Two logs guaranteed to live on different shards.
         log_a = "shard-ind/a"
@@ -149,7 +148,7 @@ class TestPerShardFrontiers:
             rollback_backend="counter-async", counter_shards=4
         )
         node = cluster.nodes[0]
-        backend = node.rollback
+        backend = node.pipeline.rollback
         targets = [("xshard/log-%02d" % i, i + 1) for i in range(8)]
         shards = {node.counter_client.shard_of(log) for log, _ in targets}
         assert len(shards) > 1
@@ -177,7 +176,7 @@ class TestLeaseExpiry:
             counter_lease_s=0.005,
         )
         node = cluster.nodes[0]
-        backend = node.rollback
+        backend = node.pipeline.rollback
         # Park the drivers: promises can only resolve via the waiter's
         # own lease-expiry fallback.
         backend.drivers_enabled = False
@@ -211,7 +210,7 @@ class TestLeaseExpiry:
             rollback_backend="counter-async", counter_shards=2
         )
         node = cluster.nodes[0]
-        backend = node.rollback
+        backend = node.pipeline.rollback
 
         def body():
             for i in range(6):
@@ -304,11 +303,11 @@ class TestSpanLeakOnCrashedStabilization:
             raise NetworkError("NIC detached")
             yield  # pragma: no cover - generator shape
 
-        node.stabilizer.backend.stabilize = boom
-        node.stabilizer.backend.stabilize_many = boom
+        node.pipeline.rollback.stabilize = boom
+        node.pipeline.rollback.stabilize_many = boom
 
         def call_single():
-            yield from node.stabilizer("leak/a", 3)
+            yield from node.pipeline.stabilize("leak/a", 3)
 
         def call_many():
             yield from node.pipeline.stabilize_group(
