@@ -41,7 +41,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..net.adversary import NetworkAdversary
 from ..net.message import MsgType
-from .digest import DiskCrcCache, cluster_digest
+from .digest import cluster_digest
 
 __all__ = ["ChoicePoint", "TraceController", "footprint_nodes"]
 
@@ -109,7 +109,7 @@ class TraceController:
     """Drives one world through a prescribed choice trace."""
 
     def __init__(self, cluster, scope, trace=(), *, remaining_budget=0,
-                 visited=None, sleep0=(), crc_cache=None, adversary=None):
+                 visited=None, sleep0=(), adversary=None):
         self.cluster = cluster
         self.sim = cluster.sim
         self.scope = scope
@@ -118,7 +118,6 @@ class TraceController:
         self.visited = visited          # shared digest -> best budget map
         self.sleep: Set[Tuple[Footprint, str]] = set(sleep0)
         self.adversary = adversary or NetworkAdversary()
-        self.crc_cache = crc_cache or DiskCrcCache()
         self.tie_window = scope.tie_window
 
         self.points: List[ChoicePoint] = []
@@ -143,8 +142,7 @@ class TraceController:
                 # degrade to "no perturbation" rather than erroring.
                 chosen = 0
         elif not self.subsumed and self.visited is not None:
-            digest = cluster_digest(self.cluster, self.in_flight,
-                                    self.crc_cache)
+            digest = cluster_digest(self.cluster, self.in_flight)
             stored = self.visited.get(digest)
             if stored is None:
                 self.visited[digest] = self.remaining_budget

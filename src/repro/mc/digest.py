@@ -16,12 +16,11 @@ Fields that never influence protocol behaviour (wall-clock-ish metrics,
 trace buffers, byte counters) are deliberately excluded; including them
 would make every state unique and the cache useless.
 
-Disk files are append-mostly (:class:`repro.storage.disk.Disk` extends
-a per-file ``bytearray`` in place), so the CRC is computed
-incrementally: a cache keyed by ``(node, filename)`` remembers the
-buffer identity, consumed length and running CRC, and only the suffix
-appended since the previous digest is hashed.  A rewritten file (new
-buffer object or truncation) falls back to a full pass.
+Each disk file (a ``bytearray`` in :class:`repro.storage.disk.Disk`)
+is CRC'd in full on every digest; ``zlib.crc32`` reads the buffer in
+place, without a copy.  The digest depends on the bytes alone, never on
+buffer identity, so no state leaks from one run of an exploration into
+the next.
 
 Digests are combined with Python's ``hash`` on nested tuples, which is
 stable within one process — all the cache ever needs.  For stable
@@ -34,36 +33,13 @@ from __future__ import annotations
 import zlib
 from typing import Any, Dict, Tuple
 
-__all__ = ["DiskCrcCache", "cluster_digest", "node_digest"]
+__all__ = ["cluster_digest", "node_digest"]
 
 
-class DiskCrcCache:
-    """Incremental per-file CRC32 over a node's append-mostly disk."""
-
-    def __init__(self):
-        # (node_name, filename) -> (buffer id, bytes consumed, crc)
-        self._entries: Dict[Tuple[str, str], Tuple[int, int, int]] = {}
-
-    def file_crc(self, node_name: str, filename: str, data) -> int:
-        key = (node_name, filename)
-        entry = self._entries.get(key)
-        length = len(data)
-        if entry is not None:
-            buf_id, consumed, crc = entry
-            if buf_id == id(data) and length >= consumed:
-                if length > consumed:
-                    crc = zlib.crc32(memoryview(data)[consumed:], crc)
-                    self._entries[key] = (buf_id, length, crc)
-                return crc
-        crc = zlib.crc32(bytes(data))
-        self._entries[key] = (id(data), length, crc)
-        return crc
-
-
-def node_digest(node, crc_cache: DiskCrcCache) -> Tuple[Any, ...]:
+def node_digest(node) -> Tuple[Any, ...]:
     """Canonical summary of one node's protocol state."""
     disk_part = tuple(
-        (filename, len(data), crc_cache.file_crc(node.name, filename, data))
+        (filename, len(data), zlib.crc32(data))
         for filename, data in sorted(node.disk._files.items())
     )
     if not node.is_up:
@@ -107,11 +83,8 @@ def node_digest(node, crc_cache: DiskCrcCache) -> Tuple[Any, ...]:
     )
 
 
-def cluster_digest(cluster, in_flight: Dict[Tuple, int],
-                   crc_cache: DiskCrcCache) -> int:
+def cluster_digest(cluster, in_flight: Dict[Tuple, int]) -> int:
     """One hashable digest for the whole cluster + frames in flight."""
-    nodes_part = tuple(
-        node_digest(node, crc_cache) for node in cluster.nodes
-    )
+    nodes_part = tuple(node_digest(node) for node in cluster.nodes)
     flight_part = tuple(sorted(in_flight.items()))
     return hash((nodes_part, flight_part))

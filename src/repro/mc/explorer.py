@@ -41,7 +41,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from .digest import DiskCrcCache
 from .harness import RunResult, Scope, run_one
 
 __all__ = [
@@ -133,7 +132,6 @@ def explore(scope: Scope, *, depth: int = 2,
     clean.
     """
     visited: Dict[int, int] = {}
-    crc_cache = DiskCrcCache()
     stats = ExploreStats()
     started = time.monotonic()
     deadline = started + budget_s if budget_s is not None else None
@@ -147,7 +145,7 @@ def explore(scope: Scope, *, depth: int = 2,
         result = run_one(
             scope, trace, mutation=mutation,
             remaining_budget=budget - _nonzeros(trace),
-            visited=visited, sleep0=sleep0, crc_cache=crc_cache,
+            visited=visited, sleep0=sleep0,
         )
         stats.runs += 1
         stats.states = len(visited)

@@ -41,7 +41,6 @@ from ..net.adversary import ENUMERATED_DELAY
 from ..net.message import MsgType
 from ..obs.monitor import MonitorViolation
 from .controller import TraceController
-from .digest import DiskCrcCache
 from .faults import piggyback_crash_points
 
 __all__ = [
@@ -391,17 +390,17 @@ def _read_owner(cluster, key):
 
 def run_one(scope: Scope, trace=(), *, mutation: Optional[str] = None,
             remaining_budget: int = 0, visited: Optional[Dict] = None,
-            sleep0=(), crc_cache: Optional[DiskCrcCache] = None,
-            tracing: bool = False, keep_cluster: bool = False) -> RunResult:
+            sleep0=(), tracing: bool = False,
+            keep_cluster: bool = False) -> RunResult:
     """Execute one choice trace in a fresh world and audit the end state."""
     patch = MUTATIONS[mutation] if mutation else contextlib.nullcontext
     with patch():
         return _run_one(scope, trace, remaining_budget, visited, sleep0,
-                        crc_cache, tracing, keep_cluster)
+                        tracing, keep_cluster)
 
 
-def _run_one(scope, trace, remaining_budget, visited, sleep0, crc_cache,
-             tracing, keep_cluster) -> RunResult:
+def _run_one(scope, trace, remaining_budget, visited, sleep0, tracing,
+             keep_cluster) -> RunResult:
     config = ClusterConfig(
         seed=scope.seed,
         num_nodes=scope.nodes,
@@ -419,7 +418,7 @@ def _run_one(scope, trace, remaining_budget, visited, sleep0, crc_cache,
     controller = TraceController(
         cluster, scope, trace,
         remaining_budget=remaining_budget, visited=visited,
-        sleep0=sleep0, crc_cache=crc_cache or DiskCrcCache(),
+        sleep0=sleep0,
     )
     sim.chooser = controller
     cluster.obs.tracer.subscribe(controller.on_record)

@@ -171,6 +171,18 @@ class TestExplorer:
         # one root + one run per crash-point occurrence
         assert stats.runs > 1
 
+    def test_repeated_exploration_counts_are_identical(self):
+        """Two explorations of one scope in one process see the same
+        states: the visited-state digest depends on disk bytes alone,
+        never on buffer identities a later run can reuse."""
+        scope = parse_scope("2x3", backend="lcm", shards=2)
+        counts = []
+        for _ in range(2):
+            stats, counterexample = explore(scope, depth=1)
+            assert counterexample is None
+            counts.append((stats.runs, stats.states, stats.pruned_visited))
+        assert counts[0] == counts[1]
+
 
 # -- mutations: seeded bugs must be found, shrunk, and replayable -------------
 
