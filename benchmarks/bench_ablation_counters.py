@@ -25,7 +25,7 @@ def _rote_stabilization():
 
     def writer(i):
         begin = sim.now
-        yield from node.counter_client.stabilize("ablation-log", i + 1)
+        yield from node.pipeline.rollback.stabilize("ablation-log", i + 1)
         latencies.append(sim.now - begin)
 
     def run():

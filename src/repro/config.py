@@ -253,16 +253,9 @@ class ClusterConfig:
     #: Also the deadlock-resolution latency, so it is kept roughly one
     #: order of magnitude above a contended transaction's latency.
     lock_timeout: float = 0.05
-    counter_group_size: int = 3  # ROTE protection-group size
     counter_quorum: int = 2
-    #: how long one counter round waits for stragglers beyond the quorum;
-    #: a crashed group member must not wedge the protocol (§VI).
-    counter_round_timeout: float = 0.05
-    #: backoff between counter-round retries when the quorum is unreachable.
-    counter_retry_backoff: float = 0.1
-    #: retries before a stabilization request gives up (FreshnessError).
-    counter_max_retries: int = 100
-    #: rollback-protection backend (repro.core.rollback):
+    #: rollback-protection backend (repro.core.rollback), a preset of
+    #: the round's CONFIRM leg (sync / background / none):
     #: ``"counter-sync"``  — every stabilization request drives (or joins)
     #: a synchronous two-round echo-broadcast and waits for the quorum
     #: CONFIRM (the original behaviour);
@@ -281,10 +274,6 @@ class ClusterConfig:
     #: serializing through one quorum round.  1 = the original single
     #: group.
     counter_shards: int = 1
-    #: coverage-promise lease duration (counter-async/lcm): a successful
-    #: echo quorum renews the shard's lease; a waiter whose promise
-    #: outlives the lease runs one synchronous round itself.
-    counter_lease_s: float = 0.02
     #: piggyback trusted-counter targets on 2PC messages: participants
     #: return their prepare-record target in the PREPARE-ACK instead of
     #: stabilizing it locally, and the coordinator folds every prepare
@@ -382,12 +371,8 @@ class ClusterConfig:
     monitor: Optional[bool] = None
     #: always-on flight recorder (repro.obs.recorder): bounded trace
     #: ring + streaming tail estimate + p99 outlier exemplars.  Safe to
-    #: leave on — memory is capped by ``trace_ring_spans``.
+    #: leave on — memory is capped by ``repro.obs.TRACE_RING_SPANS``.
     flight_recorder: bool = False
-    #: span-record cap for the flight recorder's ring buffer (FIFO
-    #: eviction); 0 = unbounded.  Ignored when full ``tracing`` is on
-    #: (explicit tracing keeps the complete buffer for export).
-    trace_ring_spans: int = 50_000
     #: windowed time-series recorder (repro.obs.timeseries): per-window
     #: tps / abort / frame / seal rates and queue gauges.
     timeseries: bool = False
@@ -396,17 +381,8 @@ class ClusterConfig:
     #: structured incident detection (repro.obs.incidents): takeovers,
     #: lease-expiry fallbacks, OCC retry storms, lock convoys, stalls.
     incidents: bool = False
-    #: quantile the flight recorder tracks for exemplar capture.
-    tail_quantile: float = 0.99
     #: commits observed before exemplar capture arms (lets the streaming
     #: estimate settle so early txns aren't all "outliers").
     tail_warmup: int = 32
-    #: max captured exemplars; the fastest is evicted first.
-    max_exemplars: int = 16
-    #: OCC conflicts within one time-series window that count as a
-    #: retry storm.
-    incident_occ_storm_conflicts: int = 20
-    #: lock wait, simulated seconds, that counts as a convoy.
-    incident_lock_convoy_s: float = 0.01
     seed: int = 2022
     costs: CostModel = field(default_factory=CostModel)

@@ -69,17 +69,10 @@ class TreatyCluster:
             require_stabilization=profile.stabilization,
             liveness_timeout=self.config.monitor_liveness_timeout_s,
             flight_recorder=self.config.flight_recorder,
-            trace_ring_spans=self.config.trace_ring_spans,
             timeseries=self.config.timeseries,
             timeseries_window_s=self.config.timeseries_window_s,
             incidents=self.config.incidents,
-            tail_quantile=self.config.tail_quantile,
             tail_warmup=self.config.tail_warmup,
-            max_exemplars=self.config.max_exemplars,
-            incident_occ_storm_conflicts=(
-                self.config.incident_occ_storm_conflicts
-            ),
-            incident_lock_convoy_s=self.config.incident_lock_convoy_s,
         )
         self.fabric = Fabric(self.sim, mtu=self.config.costs.net_mtu)
         self.obs.hub.add("fabric", self.fabric.metrics)

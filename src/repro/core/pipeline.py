@@ -19,9 +19,10 @@ commit, stabilization and counter rounds as one pipeline:
    of the fixed ``timeout(0)`` (``group_commit_window``).
 
 How an entry becomes stable is the rollback-protection backend's
-decision (:mod:`repro.core.rollback`: sync round, coverage promise or
-LCM echo); the pipeline adds the profile gate, the ``stabilize/wait``
-spans and the wait statistics.
+decision (:mod:`repro.core.rollback`: presets of one round engine that
+differ in the round's CONFIRM leg — sync round, coverage promise or LCM
+echo); the pipeline adds the profile gate, the ``stabilize/wait`` spans
+and the wait statistics.
 
 The invariants: a transaction is acknowledged only after its WAL
 entry's counter is stable, 2PC decision entries are stabilized before

@@ -1,4 +1,4 @@
-"""Pluggable rollback-protection backends (§VI, LCM).
+"""Rollback-protection backends (§VI, LCM): presets of one round engine.
 
 Treaty's stabilization contract is narrower than "every transaction runs
 its own counter round": an entry must be *covered* by a stable counter
@@ -7,19 +7,24 @@ externalized).  How coverage is established is a backend decision, and
 Brandenburger et al.'s Lightweight Collective Memory (PAPERS.md) shows
 the same rollback/forking guarantee is reachable with a much cheaper
 echo-only scheme.  This module makes that decision the one variation
-point of the :class:`~repro.core.pipeline.DurabilityPipeline`: a
-:class:`RollbackProtection` interface over the
-:class:`~repro.core.trusted_counter.CounterClient` with three
-implementations, selected by ``ClusterConfig.rollback_backend``:
+point of the :class:`~repro.core.pipeline.DurabilityPipeline`.
 
-``counter-sync``
-    The original behavior: the caller's fiber (or a driver it spawns)
-    runs the full two-leg echo-broadcast protocol — UPDATE/echo quorum,
-    then CONFIRM/ack quorum, then seal — and only then releases waiters.
-    Maximally conservative; the counter round sits on the commit
-    critical path.
+The :class:`~repro.core.trusted_counter.CounterClient` is the protocol
+endpoint (gates, pending marks, one round, recovery reads); every
+driving and waiting policy lives here.  A backend is a preset of one
+class attribute, :attr:`RollbackProtection.leg`, the shape of the round's
+CONFIRM leg; the release point follows from it (the CONFIRM quorum under
+``"sync"``, the echo quorum otherwise).  ``ClusterConfig.rollback_backend``
+names the preset:
 
-``counter-async``
+``counter-sync`` (``leg = "sync"``)
+    The original behavior: the caller's request ensures a per-shard
+    round driver, which runs the full two-leg echo-broadcast protocol —
+    UPDATE/echo quorum, then CONFIRM/ack quorum, then seal — and only
+    then releases waiters.  Maximally conservative; the counter round
+    sits on the commit critical path.
+
+``counter-async`` (``leg = "background"``)
     *Coverage promises*: per-shard background driver fibers run batched
     group rounds on their own cadence.  A transaction's
     ``stabilize_many`` registers its targets and resolves as soon as
@@ -30,16 +35,22 @@ implementations, selected by ``ClusterConfig.rollback_backend``:
     rollback adversaries; recovery reads report echoed values under this
     backend); the CONFIRM leg — which only freshens the replicas'
     sealed state — completes in the background off the critical path.
-    Each successful round renews a per-shard *lease*; a promise that
-    outlives the lease (driver dead, shard partitioned) falls back to
-    exactly one synchronous round driven by the waiter itself.
+    Each successful round renews a per-shard *lease* of
+    :data:`LEASE_S`; a promise that outlives the lease (driver dead,
+    shard partitioned) falls back to exactly one synchronous retry loop
+    driven by the waiter itself.
 
-``lcm``
+``lcm`` (``leg = "none"``)
     LCM-style echo broadcast: round 1 *is* the commit.  Replicas persist
     the echoed values when they echo (``CounterReplica.echo_commit``),
     so there is no CONFIRM leg at all — one broadcast, one quorum, one
     seal per replica.  Coverage promises, leases and the sync fallback
     work exactly as in ``counter-async``.
+
+The sync driver and the lease fallback are the same retry loop
+(:meth:`RollbackProtection._drive_rounds`): run a round, retry
+:class:`~repro.errors.FreshnessError` with backoff up to the retry
+limit, stop when the target source is empty.
 
 Safety: all three backends advance the same per-log
 :class:`~repro.sim.sync.Gate` frontiers and fire the same
@@ -53,14 +64,19 @@ acks without coverage.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional, Sequence
+from typing import Any, Callable, Dict, Generator, List, Optional, Sequence
 
 from ..config import ClusterConfig
 from ..errors import FreshnessError, NetworkError
 from ..sim.core import Event
 from ..sim.sync import Semaphore
 from ..tee.runtime import NodeRuntime
-from .trusted_counter import CounterClient, Target
+from .trusted_counter import (
+    MAX_RETRIES,
+    RETRY_BACKOFF_S,
+    CounterClient,
+    Target,
+)
 
 __all__ = [
     "BACKENDS",
@@ -74,12 +90,14 @@ __all__ = [
 
 Gen = Generator[Event, Any, Any]
 
-#: selectable values of ``ClusterConfig.rollback_backend``.
-BACKENDS = ("counter-sync", "counter-async", "lcm")
-
 #: concurrent echo rounds in flight per shard (counter-async/lcm driver
 #: pipelining).
 MAX_INFLIGHT_ROUNDS = 4
+
+#: coverage-promise lease (counter-async/lcm): a successful echo quorum
+#: renews the shard's lease; a waiter whose promise outlives the lease
+#: runs the synchronous retry loop itself.
+LEASE_S = 0.02
 
 
 class RollbackProtection:
@@ -87,15 +105,24 @@ class RollbackProtection:
 
     Implementations share the :class:`CounterClient`'s per-log gates as
     the stable frontier, so ``stable_value`` and the monitor's view are
-    backend-independent.
+    backend-independent.  A preset sets :attr:`name` (the config value)
+    and :attr:`leg` (the round's CONFIRM leg).
     """
 
     name = "abstract"
+    #: CONFIRM leg of every round: ``"sync"``, ``"background"`` or
+    #: ``"none"`` (see :meth:`CounterClient._run_protocol`).
+    leg: str
 
     def __init__(self, runtime: NodeRuntime, client: CounterClient):
         self.runtime = runtime
         self.client = client
         self.tracer = runtime.tracer
+        # The replicas' behaviour follows the round shape: waiters that
+        # release at the echo quorum need echoed values in recovery
+        # reads, and without a CONFIRM leg the echo is the commit.
+        client.replica.report_echoed = self.leg != "sync"
+        client.replica.echo_commit = self.leg == "none"
 
     def stabilize(self, log_name: str, value: int) -> Gen:
         """Block until ``log_name``'s counter is stable at >= ``value``."""
@@ -107,18 +134,86 @@ class RollbackProtection:
     def stable_value(self, log_name: str) -> int:
         return self.client.stable_value(log_name)
 
+    def _drive_rounds(
+        self, shard: int, source: Callable[[], List[Target]]
+    ) -> Gen:
+        """Run rounds over ``source()`` until it is empty.
+
+        A round that misses its quorum is retried after
+        :data:`RETRY_BACKOFF_S`; more than :data:`MAX_RETRIES` retries in
+        a row raise the :class:`FreshnessError`.
+        """
+        retries = 0
+        while True:
+            targets = source()
+            if not targets:
+                return
+            try:
+                yield from self.client._run_protocol(targets, shard, self.leg)
+            except FreshnessError:
+                retries += 1
+                if retries > MAX_RETRIES:
+                    raise
+                yield self.runtime.sim.timeout(RETRY_BACKOFF_S)
+                continue
+            retries = 0
+
 
 class CounterSyncBackend(RollbackProtection):
-    """Today's behavior: callers drive (or join) a synchronous round and
-    wait out both protocol legs before being released."""
+    """The original behavior: a request ensures the shard's round driver
+    and waits out both protocol legs before being released."""
 
     name = "counter-sync"
+    leg = "sync"
+
+    def __init__(self, runtime: NodeRuntime, client: CounterClient):
+        super().__init__(runtime, client)
+        #: per-shard driver flags.
+        self._driver_active = [False] * client.num_shards
 
     def stabilize(self, log_name: str, value: int) -> Gen:
-        yield from self.client.stabilize(log_name, value)
+        gate = self.client._gate(log_name)
+        if gate.value >= value:
+            return
+        self._register(log_name, value)
+        yield gate.wait_for(value)
 
     def stabilize_many(self, targets: Sequence[Target]) -> Gen:
-        yield from self.client.stabilize_many(targets)
+        """Block until every ``(log, value)`` target is stable.
+
+        One request registers all targets before the round driver's next
+        snapshot, so they share a single echo-broadcast execution — this
+        is what the group-commit leader calls to stabilize its batch's
+        WAL counter alongside any pending Clog decisions.
+        """
+        waits = []
+        for log_name, value in targets:
+            gate = self.client._gate(log_name)
+            if gate.value >= value:
+                continue
+            self._register(log_name, value)
+            waits.append(gate.wait_for(value))
+        if waits:
+            yield self.runtime.sim.all_of(waits)
+
+    def _register(self, log_name: str, value: int) -> None:
+        """Raise the pending mark and ensure the shard has a driver."""
+        shard = self.client._register(log_name, value)
+        if not self._driver_active[shard]:
+            self._driver_active[shard] = True
+            self.runtime.sim.process(
+                self._drive_pending(shard),
+                name="counter-se/vector.%d" % shard,
+            )
+
+    def _drive_pending(self, shard: int) -> Gen:
+        """The shard's driver: one round covers every pending log."""
+        try:
+            yield from self._drive_rounds(
+                shard, lambda: self.client._pending_snapshot(shard)
+            )
+        finally:
+            self._driver_active[shard] = False
 
 
 class CounterAsyncBackend(RollbackProtection):
@@ -133,24 +228,16 @@ class CounterAsyncBackend(RollbackProtection):
     waiters at echo quorum and renew the shard lease on success.
 
     A waiter whose promise outlives ``max(lease_until, entry + lease)``
-    runs :meth:`CounterClient.drive_until_stable` itself — exactly one
+    runs :meth:`RollbackProtection._drive_rounds` itself — exactly one
     synchronous fallback per expired promise — so a partitioned or dead
     driver degrades to the sync backend's semantics instead of hanging.
     """
 
     name = "counter-async"
-    #: run the CONFIRM leg (in the background).  The LCM subclass drops it.
-    confirm = True
-    background_confirm = True
+    leg = "background"
 
-    def __init__(
-        self,
-        runtime: NodeRuntime,
-        client: CounterClient,
-        config: ClusterConfig,
-    ):
+    def __init__(self, runtime: NodeRuntime, client: CounterClient):
         super().__init__(runtime, client)
-        self.lease_s = config.counter_lease_s
         shards = client.num_shards
         #: test hook: park the drivers to force the lease-expiry path.
         self.drivers_enabled = True
@@ -188,7 +275,7 @@ class CounterAsyncBackend(RollbackProtection):
             return
         by_shard: Dict[int, List[Target]] = {}
         for log_name, value in needed:
-            shard = client._register(log_name, value, spawn_driver=False)
+            shard = client._register(log_name, value)
             by_shard.setdefault(shard, []).append((log_name, value))
         self.promises += 1
         if self.tracer.enabled:
@@ -212,7 +299,7 @@ class CounterAsyncBackend(RollbackProtection):
         client = self.client
         # A fresh promise gets a full lease of grace even if the shard
         # has never run a round (lease_until still 0 at boot).
-        grace = sim.now + self.lease_s
+        grace = sim.now + LEASE_S
         while True:
             waits = [
                 client._gate(log_name).wait_for(value)
@@ -234,10 +321,13 @@ class CounterAsyncBackend(RollbackProtection):
                         epoch=client.epoch, shard=shard, state="expired",
                         targets=len(targets),
                     )
-                yield from client.drive_until_stable(
-                    targets, shard=shard, confirm=self.confirm,
-                    release_at_echo=True,
-                    background_confirm=self.background_confirm,
+                yield from self._drive_rounds(
+                    shard,
+                    lambda: [
+                        (log_name, value)
+                        for log_name, value in targets
+                        if value > client._gate(log_name).value
+                    ],
                 )
                 return
             yield sim.any_of(
@@ -276,14 +366,9 @@ class CounterAsyncBackend(RollbackProtection):
             )
 
     def _round(self, shard: int, targets: List[Target]) -> Gen:
-        client = self.client
         failed = False
         try:
-            yield from client._run_protocol(
-                targets, shard=shard, confirm=self.confirm,
-                release_at_echo=True,
-                background_confirm=self.background_confirm,
-            )
+            yield from self.client._run_protocol(targets, shard, self.leg)
         except FreshnessError:
             # Quorum unreachable this round.  Back off before releasing
             # the claim so redrives pace at the retry cadence; do NOT
@@ -291,7 +376,7 @@ class CounterAsyncBackend(RollbackProtection):
             # or by a waiter's lease-expiry fallback, which bounds a
             # partitioned shard's retry traffic.
             failed = True
-            yield self.runtime.sim.timeout(client.retry_backoff)
+            yield self.runtime.sim.timeout(RETRY_BACKOFF_S)
         except NetworkError:
             # NIC detached: this node crashed and we are a zombie.  Stop
             # driving — the recovered incarnation builds its own backend.
@@ -310,7 +395,7 @@ class CounterAsyncBackend(RollbackProtection):
                 self._wake[shard].release()
 
     def _renew_lease(self, shard: int) -> None:
-        self.lease_until[shard] = self.runtime.sim.now + self.lease_s
+        self.lease_until[shard] = self.runtime.sim.now + LEASE_S
         self._lease_renewals.inc()
 
 
@@ -324,8 +409,7 @@ class LcmBackend(CounterAsyncBackend):
     """
 
     name = "lcm"
-    confirm = False
-    background_confirm = False
+    leg = "none"
 
 
 class DecisionLedger:
@@ -396,6 +480,16 @@ class DecisionLedger:
         return self.slots.get(gid_bytes)
 
 
+#: ``ClusterConfig.rollback_backend`` value -> preset.
+_PRESETS: Dict[str, type] = {
+    preset.name: preset
+    for preset in (CounterSyncBackend, CounterAsyncBackend, LcmBackend)
+}
+
+#: selectable values of ``ClusterConfig.rollback_backend``.
+BACKENDS = tuple(_PRESETS)
+
+
 def make_backend(
     runtime: NodeRuntime,
     client: Optional[CounterClient],
@@ -404,14 +498,10 @@ def make_backend(
     """Build the configured rollback-protection backend for one node."""
     if client is None:
         return None
-    name = config.rollback_backend
-    if name == "counter-sync":
-        return CounterSyncBackend(runtime, client)
-    if name == "counter-async":
-        return CounterAsyncBackend(runtime, client, config)
-    if name == "lcm":
-        return LcmBackend(runtime, client, config)
-    raise ValueError(
-        "unknown rollback_backend %r (expected one of %s)"
-        % (name, ", ".join(BACKENDS))
-    )
+    preset = _PRESETS.get(config.rollback_backend)
+    if preset is None:
+        raise ValueError(
+            "unknown rollback_backend %r (expected one of %s)"
+            % (config.rollback_backend, ", ".join(BACKENDS))
+        )
+    return preset(runtime, client)

@@ -102,6 +102,10 @@ __all__ = [
 #: ``tests/conftest.py`` so every existing test runs under the monitor.
 _MONITOR_BY_DEFAULT = False
 
+#: span-record cap of the flight recorder's ring buffer (FIFO eviction)
+#: when full tracing is off.
+TRACE_RING_SPANS = 50_000
+
 
 def enable_monitor_by_default(enabled: bool = True) -> None:
     """Make every subsequently built cluster install the invariant monitor."""
@@ -133,15 +137,10 @@ class Observability:
         trace_processes: bool = False,
         liveness_timeout: Optional[float] = None,
         flight_recorder: bool = False,
-        trace_ring_spans: int = 50_000,
         timeseries: bool = False,
         timeseries_window_s: float = 0.005,
         incidents: bool = False,
-        tail_quantile: float = 0.99,
         tail_warmup: int = 32,
-        max_exemplars: int = 16,
-        incident_occ_storm_conflicts: int = 20,
-        incident_lock_convoy_s: float = 0.01,
     ):
         self.sim = sim
         self.hub = MetricsHub()
@@ -155,10 +154,10 @@ class Observability:
         if need_tracer:
             # The flight recorder needs retained records to retro-dump
             # exemplars from; without full tracing it runs on a bounded
-            # ring (`trace_ring_spans`, 0 = unbounded) so it is safe to
-            # leave on.  Explicit tracing keeps the full buffer — the
-            # export tests byte-compare complete traces.
-            ring = (trace_ring_spans or None) if (
+            # ring (`TRACE_RING_SPANS`) so it is safe to leave on.
+            # Explicit tracing keeps the full buffer — the export tests
+            # byte-compare complete traces.
+            ring = TRACE_RING_SPANS if (
                 flight_recorder and not tracing
             ) else None
             self.tracer = Tracer(
@@ -174,8 +173,7 @@ class Observability:
             ).attach(self.tracer)
         if flight_recorder:
             self.recorder = FlightRecorder(
-                self.tracer, tail_quantile=tail_quantile,
-                warmup=tail_warmup, max_exemplars=max_exemplars,
+                self.tracer, warmup=tail_warmup
             ).attach()
         if timeseries:
             self.timeseries = TimeSeriesRecorder(
@@ -183,9 +181,7 @@ class Observability:
             ).attach(self.tracer)
         if incidents:
             self.incidents = IncidentLog(
-                recorder=self.recorder,
-                occ_storm_conflicts=incident_occ_storm_conflicts,
-                lock_convoy_s=incident_lock_convoy_s,
+                recorder=self.recorder
             ).attach(self.tracer)
             if self.timeseries is not None:
                 self.timeseries.on_window.append(

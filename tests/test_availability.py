@@ -64,7 +64,7 @@ class TestCounterQuorumLoss:
         outcome = {}
 
         def stabilize():
-            yield from cluster.nodes[0].counter_client.stabilize("q-log", 1)
+            yield from cluster.nodes[0].pipeline.rollback.stabilize("q-log", 1)
             outcome["stable_at"] = sim.now
 
         sim.process(stabilize())

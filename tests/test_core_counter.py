@@ -15,7 +15,7 @@ def test_stabilize_advances_stable_value(cluster):
     node = cluster.nodes[0]
 
     def body():
-        yield from node.counter_client.stabilize("test-log-a", 5)
+        yield from node.pipeline.rollback.stabilize("test-log-a", 5)
         return node.counter_client.stable_value("test-log-a")
 
     assert cluster.run(body()) == 5
@@ -26,7 +26,7 @@ def test_stabilization_takes_rote_latency(cluster):
     start = cluster.sim.now
 
     def body():
-        yield from node.counter_client.stabilize("test-log-b", 1)
+        yield from node.pipeline.rollback.stabilize("test-log-b", 1)
 
     cluster.run(body())
     elapsed = cluster.sim.now - start
@@ -39,7 +39,7 @@ def test_batched_stabilization_shares_rounds(cluster):
     before = node.counter_client.rounds_executed
 
     def waiter(value):
-        yield from node.counter_client.stabilize("test-log-c", value)
+        yield from node.pipeline.rollback.stabilize("test-log-c", value)
 
     def body():
         events = [
@@ -56,9 +56,9 @@ def test_already_stable_returns_immediately(cluster):
     node = cluster.nodes[0]
 
     def body():
-        yield from node.counter_client.stabilize("test-log-d", 3)
+        yield from node.pipeline.rollback.stabilize("test-log-d", 3)
         start = cluster.sim.now
-        yield from node.counter_client.stabilize("test-log-d", 2)
+        yield from node.pipeline.rollback.stabilize("test-log-d", 2)
         return cluster.sim.now - start
 
     assert cluster.run(body()) == 0.0
@@ -68,7 +68,7 @@ def test_replicas_store_confirmed_values(cluster):
     node = cluster.nodes[0]
 
     def body():
-        yield from node.counter_client.stabilize("test-log-e", 7)
+        yield from node.pipeline.rollback.stabilize("test-log-e", 7)
 
     cluster.run(body())
     confirmed = [
@@ -82,7 +82,7 @@ def test_replica_state_sealed_to_disk(cluster):
     node = cluster.nodes[0]
 
     def body():
-        yield from node.counter_client.stabilize("test-log-f", 2)
+        yield from node.pipeline.rollback.stabilize("test-log-f", 2)
 
     cluster.run(body())
     assert node.disk.exists("node0/counter.sealed")
@@ -95,7 +95,7 @@ def test_read_stable_returns_group_max(cluster):
     reader = cluster.nodes[2]
 
     def body():
-        yield from writer.counter_client.stabilize("test-log-g", 9)
+        yield from writer.pipeline.rollback.stabilize("test-log-g", 9)
         value = yield from reader.counter_client.read_stable("test-log-g")
         return value
 
@@ -114,8 +114,8 @@ def test_monotonicity_across_writers(cluster):
     node = cluster.nodes[0]
 
     def body():
-        yield from node.counter_client.stabilize("test-log-h", 4)
-        yield from node.counter_client.stabilize("test-log-h", 10)
+        yield from node.pipeline.rollback.stabilize("test-log-h", 4)
+        yield from node.pipeline.rollback.stabilize("test-log-h", 10)
         value = yield from cluster.nodes[1].counter_client.read_stable("test-log-h")
         return value
 

@@ -40,10 +40,11 @@ class TestVectoredRounds:
         single echo-broadcast execution."""
         cluster = make_cluster()
         client = cluster.nodes[0].counter_client
+        rollback = cluster.nodes[0].pipeline.rollback
         before = client.rounds_executed
 
         def waiter(log, value):
-            yield from client.stabilize(log, value)
+            yield from rollback.stabilize(log, value)
 
         def body():
             events = [
@@ -60,10 +61,11 @@ class TestVectoredRounds:
     def test_stabilize_many_is_one_request(self):
         cluster = make_cluster()
         client = cluster.nodes[0].counter_client
+        rollback = cluster.nodes[0].pipeline.rollback
         before = client.rounds_executed
 
         def body():
-            yield from client.stabilize_many(
+            yield from rollback.stabilize_many(
                 [("many-log-a", 4), ("many-log-b", 9), ("many-log-c", 1)]
             )
 
@@ -92,10 +94,12 @@ class TestVectoredRounds:
 class TestVectoredRecovery:
     def test_resolver_prefetches_many_logs_in_one_read(self):
         cluster = make_cluster()
-        client = cluster.nodes[0].counter_client
+        rollback = cluster.nodes[0].pipeline.rollback
 
         def body():
-            yield from client.stabilize_many([("rr-log-a", 7), ("rr-log-b", 2)])
+            yield from rollback.stabilize_many(
+                [("rr-log-a", 7), ("rr-log-b", 2)]
+            )
             resolver = StableCounterResolver(cluster.nodes[1].counter_client)
             yield from resolver.prefetch(["rr-log-a", "rr-log-b", "rr-log-c"])
             a = yield from resolver("rr-log-a")

@@ -27,6 +27,7 @@ import pytest
 
 from repro.config import ClusterConfig, TREATY_FULL
 from repro.core import TreatyCluster
+from repro.core.rollback import LEASE_S
 from repro.errors import TransactionAborted
 from repro.mc.faults import CrashInjector
 from repro.obs import (
@@ -410,17 +411,18 @@ class TestIncidents:
         cluster = obs_cluster(
             seed=5, tracing=True, monitor=True,
             rollback_backend="counter-async", counter_shards=2,
-            counter_lease_s=0.005,
         )
         node = cluster.nodes[0]
         backend = node.pipeline.rollback
         backend.drivers_enabled = False  # only the fallback can resolve
+        start = cluster.sim.now
 
         def body():
             yield from backend.stabilize("lease-exp/a", 7)
 
         cluster.run(body())
         assert backend.sync_fallbacks == 1
+        assert cluster.sim.now - start >= LEASE_S
         counts = cluster.obs.incidents.counts()
         assert counts.get("lease-expiry-fallback") == 1
         incident = next(

@@ -32,7 +32,7 @@ class TestCounterServiceUnderAttack:
         node = cluster.nodes[0]
 
         def body():
-            yield from node.counter_client.stabilize("dup-log", 3)
+            yield from node.pipeline.rollback.stabilize("dup-log", 3)
             return node.counter_client.stable_value("dup-log")
 
         assert cluster.run(body()) == 3
@@ -63,7 +63,7 @@ class TestCounterServiceUnderAttack:
         # handler dies), but the quorum still forms from the remaining
         # member + retries, so stabilization eventually succeeds.
         def body():
-            yield from node.counter_client.stabilize("tm-log", 1)
+            yield from node.pipeline.rollback.stabilize("tm-log", 1)
             return node.counter_client.stable_value("tm-log")
 
         # A failed handler fiber surfaces as an unhandled IntegrityError
