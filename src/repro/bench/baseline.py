@@ -7,6 +7,10 @@ headline metrics —
 * throughput (committed txns / measured second),
 * p99 commit latency,
 * delivered network frames per committed transaction,
+* simulator heap entries executed per committed transaction (the
+  simulator's host cost as a deterministic count; wall ms per committed
+  transaction is printed in the text report only, since a wall-clock
+  number in the JSON would break same-seed byte identity),
 * AEAD seal operations per committed transaction,
 * trusted-counter rounds per committed transaction,
 * the critical-path per-category p50/p99 breakdown
@@ -23,6 +27,7 @@ its own check exactly.
 from __future__ import annotations
 
 import json
+import time
 from typing import Any, Dict, List, Optional
 
 from ..config import ClusterConfig, TREATY_FULL
@@ -57,6 +62,9 @@ GATED_METRICS = (
     ("throughput_tps", "min"),
     ("p99_commit_latency_ms", "max"),
     ("frames_per_txn", "max"),
+    # The simulator's host cost as a deterministic count: executed heap
+    # entries per commit (wall time is too noisy to gate).
+    ("sim_steps_per_txn", "max"),
     ("seal_ops_per_txn", "max"),
     ("counter_rounds_per_txn", "max"),
     # p99/p50 critical-path total: the tail may not detach from the
@@ -111,6 +119,7 @@ def run_baseline(
     duration = duration or (0.2 if bench_scale() == "quick" else 0.6)
     backend = backend or BASELINE_BACKEND
     shards = shards if shards is not None else BASELINE_SHARDS
+    started = time.perf_counter()
     config = ClusterConfig(
         tracing=True,
         seed=seed,
@@ -132,6 +141,7 @@ def run_baseline(
         duration=duration,
         warmup=duration * 0.25,
     )
+    wall_s = time.perf_counter() - started
     _attach_phase_breakdown(metrics, cluster)
 
     summary = metrics.summary()
@@ -183,6 +193,12 @@ def run_baseline(
             "frames_per_txn": round(
                 transport["delivered_frames"] / committed, 6
             ),
+            # Same span and denominator as frames_per_txn: everything
+            # the cluster ran since start (attestation bootstrap and bulk
+            # load included), over the measured window's commits.
+            "sim_steps_per_txn": round(
+                cluster.sim.executed_steps / committed, 6
+            ),
             "seal_ops_per_txn": round(transport["seal_ops"] / committed, 6),
             "counter_rounds_per_txn": round(
                 durability.get("rounds_per_committed_txn", 0.0), 6
@@ -193,6 +209,7 @@ def run_baseline(
         "timeline": timeline,
         "tail": tail,
         "_aggregate": aggregate,  # stripped before serialization
+        "_wall_ms_per_txn": wall_s * 1e3 / committed,
         "_timeseries": obs.timeseries,
         "_incidents": obs.incidents,
         "_recorder": obs.recorder,

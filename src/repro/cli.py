@@ -663,6 +663,8 @@ def _bench_baseline(args: argparse.Namespace) -> int:
     print("frames/txn   : %.2f   seals/txn: %.2f   counter rounds/txn: %.3f"
           % (headline["frames_per_txn"], headline["seal_ops_per_txn"],
              headline["counter_rounds_per_txn"]))
+    print("host cost    : %.1f sim steps/txn   %.2f wall ms/txn"
+          % (headline["sim_steps_per_txn"], document["_wall_ms_per_txn"]))
     timeline = document["timeline"]
     print("timeline     : %d windows, tps mean %.0f peak %.0f, %d stalled"
           % (timeline.get("windows", 0), timeline.get("tps_mean", 0.0),

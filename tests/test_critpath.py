@@ -258,6 +258,7 @@ class TestBaseline:
         better = json.loads(json.dumps(reference))
         better["metrics"]["throughput_tps"] = 0.01
         better["metrics"]["frames_per_txn"] = 1e9
+        better["metrics"]["sim_steps_per_txn"] = 1e9
         better["metrics"]["p99_commit_latency_ms"] = 1e9
         better["metrics"]["seal_ops_per_txn"] = 1e9
         better["metrics"]["counter_rounds_per_txn"] = 1e9

@@ -6,9 +6,12 @@ what makes traces byte-identical and bugs replayable.  This lint fails
 if any module under ``src/repro`` imports ``time`` or ``random``
 directly; :mod:`repro.sim.rng` is the single sanctioned wrapper (it
 derives streams from explicit seeds and never touches global state),
-and :mod:`repro.mc.explorer` may import ``time`` for its *search*
+:mod:`repro.mc.explorer` may import ``time`` for its *search*
 budget only (``--budget 60s`` bounds wall-clock exploration; every
-simulated world it explores stays seed-deterministic).
+simulated world it explores stays seed-deterministic), and
+:mod:`repro.bench.baseline` may import it to time the headline run for
+the text report's wall ms/txn line (never serialized, never read by
+the simulation).
 
 The model checker gets one extra rule: modules under ``src/repro/mc``
 must not import :mod:`repro.sim.rng` either.  The checker's whole
@@ -32,6 +35,8 @@ ALLOWED_FILES = {
     # wall-clock use is confined to the exploration budget; the explored
     # worlds themselves are deterministic (see the module docstring).
     os.path.join("repro", "mc", "explorer.py"),
+    # the baseline's wall ms/txn report line; the JSON stays wall-free.
+    os.path.join("repro", "bench", "baseline.py"),
 }
 #: modules under this prefix must not pull seeded randomness either —
 #: a model-checking run must be a pure function of its choice trace.
