@@ -2,7 +2,7 @@
 
 import hmac
 import struct
-from hashlib import sha256
+from hashlib import sha256, shake_256
 
 import pytest
 
@@ -24,18 +24,16 @@ IV = b"\x01" * IV_BYTES
 
 
 def reference_seal(key: bytes, iv: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
-    """The AEAD construction spelled out with one ``hmac.new`` per block.
+    """The AEAD construction spelled out with fresh hash objects per call.
 
-    Known-answer reference for :meth:`Aead.seal`: a fresh HMAC-SHA256
-    per 32-byte keystream block over ``iv || counter`` and a fresh
-    encrypt-then-MAC tag, exactly as the construction is specified.
+    Known-answer reference for :meth:`Aead.seal`: the keystream is one
+    SHAKE-256 XOF over ``"treaty-keystream" || enc_key || iv`` squeezed to
+    the plaintext length, and the tag a fresh encrypt-then-MAC
+    HMAC-SHA256, exactly as the construction is specified.
     """
     enc_key = hmac.new(key, b"treaty-enc", sha256).digest()
     mac_key = hmac.new(key, b"treaty-mac", sha256).digest()
-    keystream = b"".join(
-        hmac.new(enc_key, iv + struct.pack("<I", counter), sha256).digest()
-        for counter in range((len(plaintext) + 31) // 32)
-    )
+    keystream = shake_256(b"treaty-keystream" + enc_key + iv).digest(len(plaintext))
     ciphertext = bytes(p ^ k for p, k in zip(plaintext, keystream))
     mac = hmac.new(mac_key, digestmod=sha256)
     mac.update(struct.pack("<II", len(aad), len(ciphertext)))
@@ -111,17 +109,17 @@ class TestAead:
         sealed = aead.seal(IV, plaintext, aad=aad)
         assert sealed == reference_seal(KEY, IV, plaintext, aad)
         assert aead.open(sealed, aad=aad) == plaintext
-        # The cached HMAC states are copied per call, never advanced.
+        # The cached XOF and HMAC states are copied per call, never advanced.
         assert aead.seal(IV, plaintext, aad=aad) == sealed
 
     def test_pinned_ciphertexts(self):
         # Stored and wire bytes must never change for the same key and IV.
         aead = Aead(KEY)
         assert aead.seal(IV, b"treaty").hex() == (
-            "010101010101010101010101e5571a8a3475b114b3bd90c3c073a84177a3169651a1"
+            "0101010101010101010101015e0e87f625104cf4fd26a64d59fcc038eca1e33b4f18"
         )
         assert digest(aead.seal(IV, bytes(range(256)) * 4, aad=b"aad")).hex() == (
-            "997b078ff11da4e1779742cf3d1595b3a1da41a9ef60ef3822f490fb53220b8e"
+            "6519792aace1ec9e199547be2d162f6a5d2e5f5b4c4feee60e09921df72fc969"
         )
 
 
