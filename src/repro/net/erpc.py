@@ -309,8 +309,8 @@ class ErpcEndpoint:
         finally:
             msgbuf.release()
         if is_request and dst not in self.fabric._nics:
-            # The destination is already gone: the delivery fiber will
-            # drop the frame, so fail the batch's continuations now
+            # The destination is already gone: the fabric will drop
+            # the frame on arrival, so fail the batch's continuations now
             # instead of letting retry loops leak pending entries.
             self._fail_subs(
                 [sub.meta() for sub in batch],
